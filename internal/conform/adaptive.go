@@ -70,6 +70,9 @@ func confirmedByDesign(label string) bool {
 //     checked against all continuations of the new level.
 //   - Divergences at by-design non-model events (confirmedByDesign) are
 //     counted and the frontier likewise reseeded at the current level.
+//   - A reseed is lazy: the all-states frontier is only built when the
+//     next step or divergence report reads it, so reseeds nothing reads —
+//     every one made in degraded mode — cost nothing.
 //   - A retune that re-holds the current point is saturation: the
 //     coordinator is at the envelope ceiling under sustained loss,
 //     converting every round into a grace round — plain-heartbeat
@@ -80,7 +83,8 @@ func confirmedByDesign(label string) bool {
 //     change the checker is in degraded mode: trace inclusion is
 //     suspended (there is no model to check against), events outside the
 //     level's alphabet are counted in Degraded, and checking resumes
-//     from the all-states frontier at the next level change.
+//     from the all-states frontier of the level the next level change
+//     enters.
 //
 // The all-states reseed — and degraded mode's suspended checking — make
 // the piecewise check an over-approximation after the first confirmed

@@ -1,8 +1,10 @@
 package conform
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/models"
 )
@@ -122,6 +124,24 @@ func TestParseRetuneRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := parseRetune("deliver beat to p[0] from p[1]"); ok {
 		t.Fatal("parseRetune accepted a non-retune label")
+	}
+	for _, pt := range [][2]int32{{0, 0}, {-3, 5}, {math.MinInt32, math.MaxInt32}} {
+		label := labelRetune(core.Tick(pt[0]), core.Tick(pt[1]))
+		if tmin, tmax, ok := parseRetune(label); !ok || tmin != pt[0] || tmax != pt[1] {
+			t.Errorf("parseRetune(%q) = %d, %d, %v", label, tmin, tmax, ok)
+		}
+	}
+	// Everything %d would not render: the label must round-trip exactly.
+	for _, label := range []string{
+		"p[0]: retune to (+2,8)", "p[0]: retune to (02,8)", "p[0]: retune to (-0,8)",
+		"p[0]: retune to (2_0,8)", "p[0]: retune to (2, 8)", "p[0]: retune to (2,8)x",
+		"p[0]: retune to (2,8", "p[0]: retune to (2,)", "p[0]: retune to (,8)",
+		"p[0]: retune to (-,8)", "p[0]: retune to (2,3,8)", "p[0]: retune to (2147483648,8)",
+		"p[0]: retune to (-2147483649,8)", "p[0]: retune to (99999999999,8)",
+	} {
+		if tmin, tmax, ok := parseRetune(label); ok {
+			t.Errorf("parseRetune(%q) accepted (%d,%d)", label, tmin, tmax)
+		}
 	}
 }
 

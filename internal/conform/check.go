@@ -100,21 +100,33 @@ func newChecker(sp *Spec) *checker {
 	return c
 }
 
-// newCheckerAll seeds the frontier with every state of the specification.
-// The piecewise checker uses it after a confirmed divergence (a retune or
+// seedAll restarts the frontier from every state of sp, the piecewise
+// checker's over-approximation after a confirmed divergence (a retune or
 // a by-design non-model event): the runtime's exact model state is no
 // longer known, so the suffix is checked against every possible
-// continuation — an over-approximation that can only under-report, never
-// fabricate, further divergences.
-func newCheckerAll(sp *Spec) *checker {
-	c := &checker{sp: sp, mark: make([]int32, sp.NumStates)}
-	c.gen++
-	c.cur = make([]int32, sp.NumStates)
+// continuation, which can only under-report, never fabricate, further
+// divergences. The frontier is built into the existing buffers when their
+// capacity fits, so a reseed at a level change allocates nothing after
+// the first. Every state is a member and the set is trivially
+// tau-closed; step bumps the generation before it reads any mark, so no
+// membership stamps are written.
+func (c *checker) seedAll(sp *Spec) {
+	n := sp.NumStates
+	c.sp = sp
+	if cap(c.mark) < n {
+		c.mark = make([]int32, n)
+	}
+	c.mark = c.mark[:n]
+	if cap(c.cur) < n && cap(c.next) >= n {
+		c.cur, c.next = c.next, c.cur
+	}
+	if cap(c.cur) < n {
+		c.cur = make([]int32, n)
+	}
+	c.cur = c.cur[:n]
 	for s := range c.cur {
 		c.cur[s] = int32(s)
-		c.mark[s] = c.gen
 	}
-	return c
 }
 
 // closure extends set (whose members are marked with the current

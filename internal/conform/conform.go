@@ -47,9 +47,11 @@ package conform
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/models"
 )
 
 // Event is one abstract runtime event: a model-alphabet label at a
@@ -89,7 +91,164 @@ func labelInactivate(i int) string { return fmt.Sprintf("inactivate nv %s", pnam
 
 func labelCrash(i int) string { return fmt.Sprintf("crash %s", pname(i)) }
 
+func labelRejoin(i int) string { return fmt.Sprintf("%s: rejoin", pname(i)) }
+
+func labelRestart(i int) string { return fmt.Sprintf("%s: restart", pname(i)) }
+
+func labelDeliverLeaveAck(i int) string { return fmt.Sprintf("deliver leave ack to %s", pname(i)) }
+
+func labelSendLeaveAck(to int) string { return fmt.Sprintf("p[0]: send leave ack to %s", pname(to)) }
+
 const labelTimeoutP0 = "timeout p[0]"
+
+// procLabel names a one-process label of the alphabet.
+type procLabel int
+
+const (
+	lDeliverToP0 procLabel = iota
+	lDeliverLeaveToP0
+	lDeliverToP
+	lDeliverLeaveAck
+	lSendBeat
+	lSendJoin
+	lSendLeave
+	lSendLeaveAck
+	lDecideLeave
+	lInactivate
+	lCrash
+	lRejoin
+	lRestart
+	numProcLabels
+)
+
+// procLabelOf formats each procLabel; labelTable caches its results.
+var procLabelOf = [numProcLabels]func(int) string{
+	lDeliverToP0:      labelDeliverToP0,
+	lDeliverLeaveToP0: labelDeliverLeaveToP0,
+	lDeliverToP:       labelDeliverToP,
+	lDeliverLeaveAck:  labelDeliverLeaveAck,
+	lSendBeat:         labelSendBeat,
+	lSendJoin:         labelSendJoin,
+	lSendLeave:        labelSendLeave,
+	lSendLeaveAck:     labelSendLeaveAck,
+	lDecideLeave:      labelDecideLeave,
+	lInactivate:       labelInactivate,
+	lCrash:            labelCrash,
+	lRejoin:           labelRejoin,
+	lRestart:          labelRestart,
+}
+
+// labelTable holds the labels of one model configuration, built once so
+// that abstracting a live machine step formats nothing. A process index
+// or operating point outside the table falls back to the constructor, so
+// the strings are the same either way; the zero table always falls back.
+// The table also numbers its labels, so that incident tails can be
+// packed (see packTail).
+type labelTable struct {
+	proc    [numProcLabels][]string // indexed by process, 0..N
+	retunes []retuneLabel           // one per envelope level
+
+	names []string         // every label above, and labelTimeoutP0
+	ids   map[string]uint8 // index into names, for the first 256
+}
+
+type retuneLabel struct {
+	tmin, tmax core.Tick
+	label      string
+}
+
+// noLabels is the empty table, for observers without a model
+// configuration (Recorder).
+var noLabels labelTable
+
+// newLabelTable builds the labels of processes 0..n and, for a non-nil
+// envelope, of the retunes to each of its operating points.
+func newLabelTable(n int, env *models.Envelope) *labelTable {
+	t := &labelTable{}
+	for k, mk := range procLabelOf {
+		t.proc[k] = make([]string, n+1)
+		for i := range t.proc[k] {
+			t.proc[k][i] = mk(i)
+		}
+	}
+	if env != nil {
+		for level := 0; level < env.Levels(); level++ {
+			tmin, tmax := env.Point(level)
+			r := retuneLabel{tmin: core.Tick(tmin), tmax: core.Tick(tmax)}
+			r.label = labelRetune(r.tmin, r.tmax)
+			t.retunes = append(t.retunes, r)
+		}
+	}
+	for _, labels := range t.proc {
+		t.names = append(t.names, labels...)
+	}
+	for _, r := range t.retunes {
+		t.names = append(t.names, r.label)
+	}
+	t.names = append(t.names, labelTimeoutP0)
+	t.ids = make(map[string]uint8, len(t.names))
+	for i, name := range t.names {
+		if _, dup := t.ids[name]; !dup && i <= math.MaxUint8 {
+			t.ids[name] = uint8(i)
+		}
+	}
+	return t
+}
+
+// packTail encodes a run of events in two bytes each: the label's index
+// in the table and the ticks since the previous event. It reports false
+// when a label is not in the table, or when time runs backwards or jumps
+// more than 255 ticks between two events.
+func (t *labelTable) packTail(evs []Event) ([]uint16, bool) {
+	for k, ev := range evs {
+		if _, ok := t.ids[ev.Label]; !ok {
+			return nil, false
+		}
+		if k > 0 {
+			if d := ev.Time - evs[k-1].Time; d < 0 || d > math.MaxUint8 {
+				return nil, false
+			}
+		}
+	}
+	out := make([]uint16, len(evs))
+	for k, ev := range evs {
+		d := core.Tick(0)
+		if k > 0 {
+			d = ev.Time - evs[k-1].Time
+		}
+		out[k] = uint16(t.ids[ev.Label])<<8 | uint16(d)
+	}
+	return out, true
+}
+
+// unpackTail inverts packTail, given the time of the first event.
+func (t *labelTable) unpackTail(packed []uint16, first core.Tick) []Event {
+	out := make([]Event, len(packed))
+	at := first
+	for k, p := range packed {
+		at += core.Tick(p & math.MaxUint8)
+		out[k] = Event{Time: at, Label: t.names[p>>8]}
+	}
+	return out
+}
+
+// of returns label k of process i.
+func (t *labelTable) of(k procLabel, i int) string {
+	if i >= 0 && i < len(t.proc[k]) {
+		return t.proc[k][i]
+	}
+	return procLabelOf[k](i)
+}
+
+// retune returns the retune label of an operating point.
+func (t *labelTable) retune(tmin, tmax core.Tick) string {
+	for _, r := range t.retunes {
+		if r.tmin == tmin && r.tmax == tmax {
+			return r.label
+		}
+	}
+	return labelRetune(tmin, tmax)
+}
 
 // labelRetune is the adaptive coordinator's level transition. It is not
 // part of any single model's alphabet — the piecewise checker
@@ -102,28 +261,53 @@ func labelRetune(tmin, tmax core.Tick) string {
 }
 
 // parseRetune extracts the operating point of a retune label. It is
-// strict: the label must round-trip through labelRetune exactly. The
-// earlier Sscanf implementation accepted trailing junk ("p[0]: retune to
-// (2,4)x" parsed as a valid retune), which FuzzStreamChecker caught — a
-// malformed label would have been confirmed as an envelope transition
-// and reseeded the piecewise checker's frontier.
+// strict: the label must round-trip through labelRetune exactly, so a
+// malformed label cannot be confirmed as an envelope transition, which
+// would switch the piecewise checker to another level's specification and
+// leave an all-states frontier pending in place of the tracked one.
+// (FuzzStreamChecker caught an earlier Sscanf version accepting trailing
+// junk: "p[0]: retune to (2,4)x" parsed as a valid retune.) It allocates
+// nothing, so an in-envelope retune on the live observer path is free.
 func parseRetune(label string) (int32, int32, bool) {
-	// Cheap prefix reject first, in its own frame: the piecewise checker
-	// calls this on every out-of-alphabet label, and the slow path's
-	// Sscanf arguments escape (heap-allocating even on a miss) if they
-	// share a frame with this check.
-	if !strings.HasPrefix(label, retunePrefix) {
+	rest, ok := strings.CutPrefix(label, retunePrefix)
+	if !ok {
 		return 0, 0, false
 	}
-	return parseRetuneSlow(label)
-}
-
-func parseRetuneSlow(label string) (tmin, tmax int32, ok bool) {
-	n, err := fmt.Sscanf(label, "p[0]: retune to (%d,%d)", &tmin, &tmax)
-	if err != nil || n != 2 || label != labelRetune(core.Tick(tmin), core.Tick(tmax)) {
+	comma := strings.IndexByte(rest, ',')
+	if comma < 0 || !strings.HasSuffix(rest, ")") {
+		return 0, 0, false
+	}
+	tmin, ok1 := parseCanonicalInt32(rest[:comma])
+	tmax, ok2 := parseCanonicalInt32(rest[comma+1 : len(rest)-1])
+	if !ok1 || !ok2 {
 		return 0, 0, false
 	}
 	return tmin, tmax, true
+}
+
+// parseCanonicalInt32 parses an int32 written exactly as %d renders it:
+// an optional minus sign, no plus sign, no leading zeros, no "-0".
+func parseCanonicalInt32(s string) (int32, bool) {
+	digits := strings.TrimPrefix(s, "-")
+	neg := len(digits) < len(s)
+	if digits == "" || len(digits) > 10 || (digits[0] == '0' && (len(digits) > 1 || neg)) {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(v), true
 }
 
 // parseLabel matches a label against a one-verb format like

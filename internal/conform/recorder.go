@@ -47,15 +47,16 @@ func (r *Recorder) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigg
 	defer r.mu.Unlock()
 	abstractStep(func(label string) {
 		r.events = append(r.events, Event{Time: now, Label: label})
-	}, id, tr, actions)
+	}, &noLabels, id, tr, actions)
 }
 
 // abstractStep maps one machine step (trigger plus returned actions) onto
 // zero or more model-alphabet labels, emitted through add in order. It is
 // the single abstraction shared by the Recorder (which retains events)
 // and the StreamChecker (which checks and discards them), so the two
-// observers cannot disagree about what a step means.
-func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
+// observers cannot disagree about what a step means. Labels come from lt
+// (see labelTable), which changes how they are built, never what they are.
+func abstractStep(add func(string), lt *labelTable, id netem.NodeID, tr detector.Trigger, actions []core.Action) {
 	coord := id == netem.NodeID(core.CoordinatorID)
 
 	switch tr.Kind {
@@ -66,19 +67,19 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 		b := tr.Beat
 		switch {
 		case coord && b.Stay:
-			add(labelDeliverToP0(int(b.From)))
+			add(lt.of(lDeliverToP0, int(b.From)))
 		case coord:
-			add(labelDeliverLeaveToP0(int(b.From)))
+			add(lt.of(lDeliverLeaveToP0, int(b.From)))
 		case b.From == core.CoordinatorID && b.Stay:
-			add(labelDeliverToP(int(id)))
+			add(lt.of(lDeliverToP, int(id)))
 		case b.From == core.CoordinatorID:
 			// The coordinator's directed leave acknowledgement; no model
 			// counterpart (the model's leaver concludes from its own beat).
-			add(fmt.Sprintf("deliver leave ack to %s", pname(int(id))))
+			add(lt.of(lDeliverLeaveAck, int(id)))
 		default:
 			add(fmt.Sprintf("deliver stray beat to %s from %s", pname(int(id)), pname(int(b.From))))
 		}
-		addReactions(add, id, tr, actions)
+		addReactions(add, lt, id, tr, actions)
 
 	case detector.TriggerTimer:
 		if coord && tr.Timer == core.TimerRound {
@@ -87,29 +88,29 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 			}
 			add(labelTimeoutP0)
 		}
-		addReactions(add, id, tr, actions)
+		addReactions(add, lt, id, tr, actions)
 
 	case detector.TriggerStart:
-		addReactions(add, id, tr, actions)
+		addReactions(add, lt, id, tr, actions)
 
 	case detector.TriggerCrash:
 		for _, a := range actions {
 			if a.Kind == core.ActInactivate && a.Voluntary {
-				add(labelCrash(int(id)))
+				add(lt.of(lCrash, int(id)))
 			}
 		}
 
 	case detector.TriggerLeave:
-		add(labelDecideLeave(int(id)))
-		addReactions(add, id, tr, actions)
+		add(lt.of(lDecideLeave, int(id)))
+		addReactions(add, lt, id, tr, actions)
 
 	case detector.TriggerRejoin:
-		add(fmt.Sprintf("%s: rejoin", pname(int(id))))
-		addReactions(add, id, tr, actions)
+		add(lt.of(lRejoin, int(id)))
+		addReactions(add, lt, id, tr, actions)
 
 	case detector.TriggerRestart:
-		add(fmt.Sprintf("%s: restart", pname(int(id))))
-		addReactions(add, id, tr, actions)
+		add(lt.of(lRestart, int(id)))
+		addReactions(add, lt, id, tr, actions)
 	}
 }
 
@@ -119,7 +120,7 @@ func abstractStep(add func(string), id netem.NodeID, tr detector.Trigger, action
 // coordinator's round continuation is keyed off SetTimer{TimerRound},
 // because the model broadcasts "p[0]: send beat" even to an empty
 // membership while the runtime's send loop then emits nothing.
-func addReactions(add func(string), id netem.NodeID, tr detector.Trigger, actions []core.Action) {
+func addReactions(add func(string), lt *labelTable, id netem.NodeID, tr detector.Trigger, actions []core.Action) {
 	coord := id == netem.NodeID(core.CoordinatorID)
 	sentBeat := false
 	for _, act := range actions {
@@ -132,31 +133,31 @@ func addReactions(add func(string), id netem.NodeID, tr detector.Trigger, action
 				// below for timeouts; directly for the revised init.
 				if tr.Kind != detector.TriggerTimer && !sentBeat {
 					sentBeat = true
-					add(labelSendBeat(0))
+					add(lt.of(lSendBeat, 0))
 				}
 			case coord:
-				add(fmt.Sprintf("p[0]: send leave ack to %s", pname(int(act.To))))
+				add(lt.of(lSendLeaveAck, int(act.To)))
 			case act.Beat.Stay:
 				if tr.Kind == detector.TriggerBeat {
-					add(labelSendBeat(int(id))) // reply to a delivered beat
+					add(lt.of(lSendBeat, int(id))) // reply to a delivered beat
 				} else {
-					add(labelSendJoin(int(id))) // join solicitation (start or resend)
+					add(lt.of(lSendJoin, int(id))) // join solicitation (start or resend)
 				}
 			default:
-				add(labelSendLeave(int(id)))
+				add(lt.of(lSendLeave, int(id)))
 			}
 		case core.ActSetTimer:
 			if coord && act.ID == core.TimerRound && tr.Kind == detector.TriggerTimer && !sentBeat {
 				sentBeat = true
-				add(labelSendBeat(0))
+				add(lt.of(lSendBeat, 0))
 			}
 		case core.ActRetune:
-			add(labelRetune(act.TMin, act.TMax))
+			add(lt.retune(act.TMin, act.TMax))
 		case core.ActInactivate:
 			if act.Voluntary {
-				add(labelCrash(int(id)))
+				add(lt.of(lCrash, int(id)))
 			} else {
-				add(labelInactivate(int(id)))
+				add(lt.of(lInactivate, int(id)))
 			}
 		}
 	}

@@ -191,8 +191,9 @@ type CampaignCheck struct {
 	Envelope *models.Envelope
 	Opts     mc.Options
 
-	mu    sync.Mutex
-	specs map[int]levelSpec
+	mu     sync.Mutex
+	specs  map[int]levelSpec
+	labels *labelTable
 }
 
 type levelSpec struct {
@@ -217,6 +218,17 @@ func (c *CampaignCheck) SpecAt(level int) (*Spec, error) {
 		return nil, fmt.Errorf("%w: envelope has no level %d", ErrUnsupported, level)
 	}
 	return c.specAt(level)
+}
+
+// labelTable returns the (lazily built, cached) label table of the
+// model's processes and envelope, shared by every StreamChecker of c.
+func (c *CampaignCheck) labelTable() *labelTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.labels == nil {
+		c.labels = newLabelTable(c.Model.N, c.Envelope)
+	}
+	return c.labels
 }
 
 func (c *CampaignCheck) specAt(level int) (*Spec, error) {

@@ -51,12 +51,21 @@ func (d *divergePoint) divergence(events []Event) *Divergence {
 // O(NumStates) by construction and collapse on the next step); the budget
 // gates stepped frontiers only, which is also what maxFrontierSeen
 // tracks.
+//
+// A reseed is lazy: it only marks the all-states frontier of the current
+// spec as pending, and the first reader of the checker (frontier) builds
+// it. In degraded mode nothing steps the frontier before the next level
+// change reseeds it again (only an out-of-envelope retune's divergence
+// report would read it), so the restarts, stray beats and leaves a
+// saturated stream confirms cost no O(NumStates) work at all.
 type streamEngine struct {
 	check *CampaignCheck   // spec source for piecewise mode; nil in plain mode
 	env   *models.Envelope // nil: plain single-spec mode
 	sp    *Spec
-	ck    *checker
+	ck    *checker // read only through frontier
 	now   core.Tick
+
+	pendingAll bool // ck is stale: its frontier is every state of sp
 
 	level    int
 	degraded bool
@@ -107,29 +116,40 @@ func (e *streamEngine) noteFrontier() {
 	}
 }
 
+// frontier returns the checker, first building a pending all-states
+// frontier into its buffers.
+func (e *streamEngine) frontier() *checker {
+	if e.pendingAll {
+		e.pendingAll = false
+		e.ck.seedAll(e.sp)
+	}
+	return e.ck
+}
+
 // stepNoted steps the frontier and applies the budget on success.
 func (e *streamEngine) stepNoted(id int32) bool {
-	if !e.ck.step(id) {
+	if !e.frontier().step(id) {
 		return false
 	}
 	e.noteFrontier()
 	return true
 }
 
-// reseed restarts the frontier from every state of the current spec, the
-// over-approximation used after confirmed divergences. A shed engine
-// skips it: inclusion checking is already suspended for good.
+// reseed marks the frontier as every state of the current spec, the
+// over-approximation used after confirmed divergences; frontier builds it
+// on first use. A shed engine skips it: inclusion checking is already
+// suspended for good.
 func (e *streamEngine) reseed() {
 	if e.shed {
 		return
 	}
-	e.ck = newCheckerAll(e.sp)
+	e.pendingAll = true
 }
 
 func (e *streamEngine) diverge(idx int, label string) *divergePoint {
 	return &divergePoint{
 		cfg: e.sp.Cfg, index: idx, time: e.now,
-		label: label, expected: e.ck.enabled(),
+		label: label, expected: e.frontier().enabled(),
 	}
 }
 
@@ -147,7 +167,7 @@ func (e *streamEngine) advance(to core.Tick, idx int) *divergePoint {
 			e.now = to
 			return nil
 		}
-		if !e.ck.step(e.sp.tickID) {
+		if !e.frontier().step(e.sp.tickID) {
 			return e.diverge(idx, LabelTick)
 		}
 		e.now++
@@ -519,16 +539,31 @@ type Incident struct {
 	// satisfied.
 	Verified    bool
 	ModelAgrees bool
-	// Skipped and Tail are the bounded MSC context: the last events
-	// preceding the incident and how many earlier ones the memory budget
-	// dropped. With the default tail size, Render output is byte-identical
-	// to the offline Divergence.Render of the same divergence.
+	// Skipped and Tail() are the bounded MSC context: how many events
+	// the memory budget dropped and the last ones preceding the incident.
+	// With the default tail size, Render output is byte-identical to the
+	// offline Divergence.Render of the same divergence.
 	Skipped int
-	Tail    []Event
+	// The tail is kept packed against the check's label table when every
+	// label is in it, at two bytes an event instead of an Event's 24: a
+	// campaign keeps every incident of every trial, and under sustained
+	// loss most trials raise several.
+	tail      []Event
+	packed    []uint16
+	packedAt  core.Tick // time of the first packed event
+	packedLbl *labelTable
 	// Shrunk and ShrunkDiv hold a minimised offline reproduction when
 	// triage ran ShrinkRun on the incident's run configuration.
 	Shrunk    *RunConfig
 	ShrunkDiv *Divergence
+}
+
+// Tail returns the events preceding the incident, oldest first.
+func (inc *Incident) Tail() []Event {
+	if inc.packed != nil {
+		return inc.packedLbl.unpackTail(inc.packed, inc.packedAt)
+	}
+	return inc.tail
 }
 
 // String is the one-line summary forwarded to the supervisor.
@@ -563,8 +598,9 @@ func (inc *Incident) Render(w io.Writer, title string) error {
 			return err
 		}
 	}
-	steps := make([]mc.Step, 0, len(inc.Tail))
-	for _, ev := range inc.Tail {
+	tail := inc.Tail()
+	steps := make([]mc.Step, 0, len(tail))
+	for _, ev := range tail {
 		steps = append(steps, mc.Step{Label: ev.Label, Time: int(ev.Time)})
 	}
 	if err := trace.Render(w, title, steps); err != nil {
@@ -627,10 +663,12 @@ type StreamChecker struct {
 	sup    *detector.Supervisor
 
 	add    func(string) // pre-bound abstractStep target (no per-step closure)
+	labels *labelTable
 	obsNow core.Tick
 
 	seq         int
 	tail        []Event // ring buffer of the last len(tail) events
+	snap        []Event // the ring in order, while an incident is built
 	done        bool    // inclusion stopped at the first unconfirmed divergence
 	failed      error   // internal error (level spec construction)
 	incidents   []*Incident
@@ -676,6 +714,7 @@ func NewStreamChecker(cfg StreamConfig) (*StreamChecker, error) {
 		eng:    eng,
 		mon:    newTraceMonitor(monCfg, cfg.Horizon),
 		monCfg: monCfg,
+		labels: cfg.Check.labelTable(),
 		tail:   make([]Event, cfg.Tail),
 	}
 	sc.add = func(label string) { sc.feedLocked(Event{Time: sc.obsNow, Label: label}) }
@@ -700,7 +739,7 @@ func (sc *StreamChecker) ObserveStep(id netem.NodeID, now core.Tick, tr detector
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.obsNow = now
-	abstractStep(sc.add, id, tr, actions)
+	abstractStep(sc.add, sc.labels, id, tr, actions)
 }
 
 // Feed consumes one pre-abstracted event — a recorded trace replayed
@@ -749,19 +788,24 @@ func (sc *StreamChecker) tailLen() int {
 // prefix), so it excludes the offending event itself.
 func (sc *StreamChecker) newIncident(kind IncidentKind, seq int) *Incident {
 	n := sc.tailLen()
-	t := make([]Event, n)
 	start := sc.seq - n
+	sc.snap = sc.snap[:0]
 	for k := 0; k < n; k++ {
-		t[k] = sc.tail[(start+k)%len(sc.tail)]
+		sc.snap = append(sc.snap, sc.tail[(start+k)%len(sc.tail)])
 	}
-	return &Incident{
+	inc := &Incident{
 		Kind:    kind,
 		Cfg:     sc.monCfg,
 		Level:   sc.eng.levelInForce(),
 		Seq:     seq,
 		Skipped: seq - n,
-		Tail:    t,
 	}
+	if packed, ok := sc.labels.packTail(sc.snap); ok && n > 0 {
+		inc.packed, inc.packedAt, inc.packedLbl = packed, sc.snap[0].Time, sc.labels
+	} else {
+		inc.tail = append(make([]Event, 0, n), sc.snap...)
+	}
+	return inc
 }
 
 func (sc *StreamChecker) divergenceIncident(d *divergePoint) *Incident {

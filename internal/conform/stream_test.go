@@ -13,6 +13,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/faults"
 	"repro/internal/models"
+	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -180,6 +181,15 @@ func TestStreamDifferential(t *testing.T) {
 // the trace and its loss count.
 func adaptiveClusterTrace(t *testing.T, check *CampaignCheck, seed int64, horizon core.Tick) ([]Event, uint64) {
 	t.Helper()
+	rec := NewRecorder()
+	lost := adaptiveClusterRun(t, check, seed, horizon, rec)
+	return rec.Events(), lost
+}
+
+// adaptiveClusterRun drives that run with obs attached and returns its
+// loss count.
+func adaptiveClusterRun(t *testing.T, check *CampaignCheck, seed int64, horizon core.Tick, obs detector.Observer) uint64 {
+	t.Helper()
 	cc, err := ClusterFor(check.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +211,7 @@ func adaptiveClusterTrace(t *testing.T, check *CampaignCheck, seed int64, horizo
 			}},
 		},
 	}
-	rec := NewRecorder()
-	cc.Observe = rec
+	cc.Observe = obs
 	c, err := detector.NewCluster(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +226,7 @@ func adaptiveClusterTrace(t *testing.T, check *CampaignCheck, seed int64, horizo
 		fs := c.Faults.Stats()
 		lost += fs.DroppedMuted + fs.DroppedPartition + fs.DroppedLoss
 	}
-	return rec.Events(), lost
+	return lost
 }
 
 // TestStreamAdaptiveDifferential: real adaptive runs — retunes included —
@@ -493,5 +502,169 @@ func TestStreamMillionEventAllocFree(t *testing.T) {
 	}
 	if res.MaxFrontierSeen == 0 {
 		t.Fatal("frontier high water was never tracked")
+	}
+}
+
+// machineStep is one captured detector.Observer callback.
+type machineStep struct {
+	id      netem.NodeID
+	now     core.Tick
+	tr      detector.Trigger
+	actions []core.Action
+}
+
+type stepCapture struct{ steps []machineStep }
+
+func (c *stepCapture) ObserveStep(id netem.NodeID, now core.Tick, tr detector.Trigger, actions []core.Action) {
+	c.steps = append(c.steps, machineStep{id, now, tr, append([]core.Action(nil), actions...)})
+}
+
+// TestObserveStepAllocFree extends the allocation-free claim from Feed to
+// the live observer path: replaying a real adaptive run's machine steps
+// through StreamChecker.ObserveStep, every step that records no incident
+// or R1–R3 violation candidate allocates nothing — beat deliveries, round timers, replies,
+// inactivations and in-envelope retunes included — and abstracts to the
+// same labels the Recorder's on-demand formatting produces.
+func TestObserveStepAllocFree(t *testing.T) {
+	env := models.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
+	check := &CampaignCheck{
+		Model:    models.Config{TMin: 2, TMax: 4, Variant: models.Static, N: 2, Fixed: true},
+		Envelope: &env,
+	}
+	const horizon = core.Tick(1200)
+	pinned := map[string]string{
+		"beat delivery":      "deliver beat to p[0] from ",
+		"round timer":        labelTimeoutP0,
+		"reply":              labelSendBeat(1),
+		"inactivate":         "inactivate nv ",
+		"in-envelope retune": retunePrefix,
+	}
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 3; seed++ {
+		var capt stepCapture
+		lost := adaptiveClusterRun(t, check, seed, horizon, &capt)
+		sc, err := NewStreamChecker(StreamConfig{Check: check, Horizon: horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Size the frontier buffers for the largest level up front, so a
+		// frontier reaching a new width cannot allocate: what is measured
+		// is the observer path, not buffer growth.
+		largest := 0
+		for level := 0; level < env.Levels(); level++ {
+			sp, err := check.SpecAt(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, sp.NumStates)
+		}
+		ck := sc.eng.frontier()
+		ck.mark = append(make([]int32, 0, largest), ck.mark...)
+		ck.cur = append(make([]int32, 0, largest), ck.cur...)
+		ck.next = make([]int32, 0, largest)
+
+		for _, st := range capt.steps {
+			var table, formatted []string
+			abstractStep(func(l string) { table = append(table, l) }, sc.labels, st.id, st.tr, st.actions)
+			abstractStep(func(l string) { formatted = append(formatted, l) }, &noLabels, st.id, st.tr, st.actions)
+			if !reflect.DeepEqual(table, formatted) {
+				t.Fatalf("seed %d: table labels %q, formatted labels %q", seed, table, formatted)
+			}
+			incidents, candidates := len(sc.incidents), len(sc.mon.viol)
+			// AllocsPerRun makes one unmeasured warm-up call first; it
+			// must not observe the step twice.
+			warm := true
+			allocs := testing.AllocsPerRun(1, func() {
+				if warm {
+					warm = false
+					return
+				}
+				sc.ObserveStep(st.id, st.now, st.tr, st.actions)
+			})
+			if len(sc.incidents) != incidents || len(sc.mon.viol) != candidates {
+				continue // incident and violation records allocate by design
+			}
+			if allocs != 0 {
+				t.Fatalf("seed %d: ObserveStep of %q at t=%d allocates %v times, want 0", seed, table, st.now, allocs)
+			}
+			for kind, prefix := range pinned {
+				for _, l := range table {
+					if strings.HasPrefix(l, prefix) {
+						seen[kind]++
+						break
+					}
+				}
+			}
+		}
+		res, err := sc.Finish(lost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Unconfirmed != nil {
+			t.Fatalf("seed %d: healthy adaptive run diverged: %v", seed, res.Unconfirmed)
+		}
+	}
+	t.Logf("allocation-free steps observed, by kind: %v", seen)
+	for kind := range pinned {
+		if seen[kind] == 0 {
+			t.Errorf("no allocation-free %s step was observed; pick richer runs (seen: %v)", kind, seen)
+		}
+	}
+}
+
+// TestIncidentTailRoundTrip: an incident's tail reads back exactly as fed,
+// whether it was packed against the check's label table or kept as
+// events because a label is foreign to the table or time jumps.
+func TestIncidentTailRoundTrip(t *testing.T) {
+	check := adaptiveCheck(t)
+	lt := check.labelTable()
+	base := []Event{
+		{Time: 0, Label: labelRetune(2, 4)}, // saturates: degraded mode
+		{Time: 0, Label: labelSendBeat(0)},
+		{Time: 1, Label: labelDeliverToP(1)},
+		{Time: 1, Label: labelSendBeat(1)},
+		{Time: 3, Label: labelDeliverToP0(1)},
+		{Time: 8, Label: labelTimeoutP0},
+	}
+	with := func(ev Event) []Event { return append(append([]Event(nil), base...), ev) }
+	cases := []struct {
+		name   string
+		events []Event
+		packed bool
+	}{
+		{"table labels", base, true},
+		{"255-tick gap", with(Event{Time: 8 + 255, Label: labelSendBeat(0)}), true},
+		{"256-tick gap", with(Event{Time: 8 + 256, Label: labelSendBeat(0)}), false},
+		{"time backwards", with(Event{Time: 7, Label: labelSendBeat(0)}), false},
+		{"foreign label", with(Event{Time: 9, Label: "p[1]: frobnicate"}), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, ok := lt.packTail(tc.events); ok != tc.packed {
+				t.Fatalf("packTail ok = %v, want %v", ok, tc.packed)
+			}
+			// The degraded stream tolerates every event; an out-of-envelope
+			// retune then raises a divergence whose tail is all of them.
+			var inc *Incident
+			sc, err := NewStreamChecker(StreamConfig{Check: check, Horizon: 1000,
+				OnIncident: func(i *Incident) { inc = i }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range tc.events {
+				sc.Feed(ev)
+			}
+			last := tc.events[len(tc.events)-1].Time
+			sc.Feed(Event{Time: last, Label: labelRetune(3, 5)})
+			if inc == nil || inc.Kind != IncidentDivergence {
+				t.Fatalf("no divergence incident: %+v", inc)
+			}
+			if (inc.packed != nil) != tc.packed {
+				t.Fatalf("incident tail packed = %v, want %v", inc.packed != nil, tc.packed)
+			}
+			if got := inc.Tail(); !reflect.DeepEqual(got, tc.events) {
+				t.Fatalf("Tail() = %v, want %v", got, tc.events)
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func (c LinkConfig) validate() error {
 	return nil
 }
 
-// LinkStats counts traffic on one unidirectional link.
+// LinkStats counts traffic.
 type LinkStats struct {
 	Sent       uint64
 	Delivered  uint64
@@ -92,10 +92,9 @@ type LinkStats struct {
 	Duplicated uint64
 }
 
-// Stats aggregates link statistics.
+// Stats aggregates link statistics over every link.
 type Stats struct {
 	Total LinkStats
-	Links map[[2]NodeID]LinkStats
 }
 
 // Errors returned by transports.
@@ -161,7 +160,6 @@ func NewNetwork(s *sim.Simulator, def LinkConfig) (*Network, error) {
 		handlers: make(map[NodeID]Handler),
 		links:    make(map[[2]NodeID]LinkConfig),
 		def:      def,
-		stats:    Stats{Links: make(map[[2]NodeID]LinkStats)},
 	}, nil
 }
 
@@ -223,21 +221,15 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: recipient %d", ErrUnknownNode, to)
 	}
-	key := [2]NodeID{from, to}
 	cfg := n.linkConfig(from, to)
-	st := n.stats.Links[key]
-	st.Sent++
 	n.stats.Total.Sent++
 	if cfg.Down || n.rng.Float64() < cfg.LossProb {
-		st.Lost++
 		n.stats.Total.Lost++
-		n.stats.Links[key] = st
 		return nil
 	}
 	copies := 1
 	if cfg.DupProb > 0 && n.rng.Float64() < cfg.DupProb {
 		copies = 2
-		st.Duplicated++
 		n.stats.Total.Duplicated++
 	}
 	for i := 0; i < copies; i++ {
@@ -256,10 +248,8 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 			n.pool = append(n.pool, d)
 			return fmt.Errorf("netem: scheduling delivery: %w", err)
 		}
-		st.Delivered++
 		n.stats.Total.Delivered++
 	}
-	n.stats.Links[key] = st
 	return nil
 }
 
@@ -291,13 +281,7 @@ func (n *Network) nodeIDs() []NodeID {
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (n *Network) Stats() Stats {
-	out := Stats{Total: n.stats.Total, Links: make(map[[2]NodeID]LinkStats, len(n.stats.Links))}
-	for k, v := range n.stats.Links {
-		out.Links[k] = v
-	}
-	return out
-}
+func (n *Network) Stats() Stats { return n.stats }
 
 // mu-protected state makes RealNetwork safe for concurrent use.
 type realNode struct {
@@ -336,7 +320,6 @@ func NewRealNetwork(tick Ticker, seed int64, def LinkConfig) (*RealNetwork, erro
 		nodes: make(map[NodeID]*realNode),
 		links: make(map[[2]NodeID]LinkConfig),
 		def:   def,
-		stats: Stats{Links: make(map[[2]NodeID]LinkStats)},
 		tick:  tick,
 	}, nil
 }
@@ -388,13 +371,9 @@ func (n *RealNetwork) Send(from, to NodeID, payload []byte) error {
 	if !okc {
 		cfg = n.def
 	}
-	st := n.stats.Links[key]
-	st.Sent++
 	n.stats.Total.Sent++
 	if cfg.Down || n.rng.Float64() < cfg.LossProb {
-		st.Lost++
 		n.stats.Total.Lost++
-		n.stats.Links[key] = st
 		n.mu.Unlock()
 		return nil
 	}
@@ -402,9 +381,7 @@ func (n *RealNetwork) Send(from, to NodeID, payload []byte) error {
 	if cfg.MaxDelay > cfg.MinDelay {
 		delay += sim.Time(n.rng.Int63n(int64(cfg.MaxDelay-cfg.MinDelay) + 1))
 	}
-	st.Delivered++
 	n.stats.Total.Delivered++
-	n.stats.Links[key] = st
 	msg := Message{From: from, To: to, Payload: append([]byte(nil), payload...)}
 	n.inflight.Add(1)
 	n.mu.Unlock()
@@ -444,11 +421,7 @@ func (n *RealNetwork) Broadcast(from NodeID, payload []byte) error {
 func (n *RealNetwork) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := Stats{Total: n.stats.Total, Links: make(map[[2]NodeID]LinkStats, len(n.stats.Links))}
-	for k, v := range n.stats.Links {
-		out.Links[k] = v
-	}
-	return out
+	return n.stats
 }
 
 // Drain blocks until every in-flight message has been delivered. Callers

@@ -15,8 +15,11 @@ import (
 // campaignEnvelope is the degradation envelope the topology campaigns
 // run: two operating points (tmax 4 and 8) over a fixed tmin. Kept to
 // two levels so the top-level specification stays around half a million
-// states — the piecewise checker reseeds its frontier to all of them on
-// every saturated retune.
+// states, which bounds the one-off spec build. Reseeding the piecewise
+// checker's frontier to all those states is lazy, and free in degraded
+// mode, which a saturated retune enters without reseeding: the frontier
+// is built only when a step after a level change or a by-design event
+// reads it.
 var campaignEnvelope = models.Envelope{TMinLo: 2, TMinHi: 2, TMaxLo: 4, TMaxHi: 8}
 
 // campaignN is the cluster size each variant's campaign runs at. Static
